@@ -92,9 +92,8 @@ def run_clustering_rounds(
 ) -> list[Cluster]:
     """Algorithm 1's round loop, from an arbitrary starting cluster state.
 
-    The standard (cold) entry point starts from seeds + singletons; the
-    incremental operator (:mod:`repro.matching.incremental`) resumes from
-    a previous selection's final clusters.
+    :func:`greedy_constrained_clustering` starts it from seeds +
+    singletons.
     """
     log = get_event_log()
     explain = log.enabled

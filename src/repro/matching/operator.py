@@ -77,6 +77,9 @@ class MatchOperator:
         prune: bool = True,
         cache_size: int = 200_000,
     ):
+        self._retire_cache_probe = get_profiler().add_cache_probe(
+            "match.memo", self.cache_info
+        )
         self.universe = universe
         self.theta = theta
         self.beta = beta
@@ -103,7 +106,10 @@ class MatchOperator:
         get_telemetry().metrics.gauge("match.constraint_seeds").set(
             len(self.seeds)
         )
-        get_profiler().add_cache_probe("match.memo", self.cache_info)
+
+    def __del__(self) -> None:
+        # The profiler holds cache_info weakly: hand it the final totals.
+        self._retire_cache_probe(self.cache_info)
 
     @classmethod
     def for_problem(
@@ -327,7 +333,13 @@ class MatchOperator:
             )
             return MatchResult(None, 0.0, reasons=tuple(reasons))
 
-        free_attrs = self._free_attributes(selection)
+        seed_attrs = {attr for seed in self.seeds for attr in seed}
+        free_attrs = [
+            attr
+            for sid in sorted(selection)
+            for attr in self.universe.source(sid).attributes
+            if attr not in seed_attrs
+        ]
         clusters = greedy_constrained_clustering(
             free_attrs,
             self.seeds,
@@ -358,15 +370,6 @@ class MatchOperator:
 
         quality = self._schema_quality(schema)
         return MatchResult(schema, quality, unspanned_source_ids=unspanned)
-
-    def _free_attributes(self, selection: frozenset[int]):
-        seed_attrs = {attr for seed in self.seeds for attr in seed}
-        return [
-            attr
-            for sid in sorted(selection)
-            for attr in self.universe.source(sid).attributes
-            if attr not in seed_attrs
-        ]
 
     def _schema_quality(self, schema: MediatedSchema) -> float:
         if not len(schema):

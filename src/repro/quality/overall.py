@@ -42,7 +42,6 @@ from ..core import (
 )
 from ..exceptions import WeightError
 from ..explain.events import SelectionScored, get_event_log
-from ..matching.incremental import IncrementalMatchOperator
 from ..matching.operator import MatchOperator
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure
@@ -69,11 +68,13 @@ class Objective:
         prune: bool = True,
         cache_size: int = 200_000,
         exact_data_metrics: bool = False,
-        incremental: bool = False,
         match_operator: MatchOperator | None = None,
         context: EvalContext | None = None,
         patch_context_from: EvalContext | None = None,
     ):
+        self._retire_cache_probe = get_profiler().add_cache_probe(
+            "objective.memo", self.cache_info
+        )
         self.problem = problem
         if match_operator is not None:
             # Reuse a pre-built (already warmed) operator.  The caller is
@@ -81,10 +82,7 @@ class Objective:
             # the session layer keys its operator cache on exactly those.
             self.match_operator = match_operator
         else:
-            operator_cls = (
-                IncrementalMatchOperator if incremental else MatchOperator
-            )
-            self.match_operator = operator_cls.for_problem(
+            self.match_operator = MatchOperator.for_problem(
                 problem, similarity=similarity, linkage=linkage, prune=prune
             )
         self._exact_data_metrics = exact_data_metrics
@@ -107,7 +105,10 @@ class Objective:
         self._evaluations = 0
         self._cache_hits = 0
         self._cache_evictions = 0
-        get_profiler().add_cache_probe("objective.memo", self.cache_info)
+
+    def __del__(self) -> None:
+        # The profiler holds cache_info weakly: hand it the final totals.
+        self._retire_cache_probe(self.cache_info)
 
     @property
     def evaluations(self) -> int:

@@ -253,7 +253,6 @@ class WorkerContext:
         self,
         problem: Problem,
         similarity: NameSimilarityMatrix | None = None,
-        incremental: bool = False,
         initial: frozenset[int] | None = None,
         stop_quality: float | None = None,
         collect_telemetry: bool = False,
@@ -264,7 +263,6 @@ class WorkerContext:
     ):
         self.problem = problem
         self.similarity = similarity
-        self.incremental = incremental
         self.initial = initial
         self.stop_quality = stop_quality
         self.collect_telemetry = collect_telemetry
@@ -285,7 +283,6 @@ class WorkerContext:
         return Objective(
             self.problem,
             similarity=self.similarity,
-            incremental=self.incremental,
             context=self.eval_context,
         )
 
@@ -293,7 +290,6 @@ class WorkerContext:
         return {
             "problem": self.problem,
             "similarity": self.similarity,
-            "incremental": self.incremental,
             "initial": self.initial,
             "stop_quality": self.stop_quality,
             "collect_telemetry": self.collect_telemetry,
@@ -311,10 +307,7 @@ class WorkerContext:
         self.__dict__.update(state)
 
     def __repr__(self) -> str:
-        return (
-            f"WorkerContext({len(self.problem.universe)} sources, "
-            f"incremental={self.incremental})"
-        )
+        return f"WorkerContext({len(self.problem.universe)} sources)"
 
 
 class _SharedContextPayload:
@@ -335,7 +328,6 @@ class _SharedContextPayload:
     def __init__(self, context: WorkerContext, segments: SharedSegmentSet):
         self.problem = context.problem
         self.fields = {
-            "incremental": context.incremental,
             "initial": context.initial,
             "stop_quality": context.stop_quality,
             "collect_telemetry": context.collect_telemetry,
@@ -1128,7 +1120,6 @@ class ParallelSolveEngine:
         workers: Iterable[WorkerSpec],
         similarity: NameSimilarityMatrix | None = None,
         initial: frozenset[int] | None = None,
-        incremental: bool = False,
         eval_context=None,
     ) -> SearchResult:
         """Run the portfolio and return the winner, annotated with stats.
@@ -1182,7 +1173,6 @@ class ParallelSolveEngine:
         context = WorkerContext(
             problem=problem,
             similarity=similarity,
-            incremental=incremental,
             initial=initial,
             stop_quality=self.stop_quality,
             # Profiling rides the worker tracer home, so an enabled

@@ -73,7 +73,12 @@ EDIT_OPS: dict[str, tuple[str, tuple[str, ...]]] = {
 
 
 def schema_payload(schema) -> list[list[dict]] | None:
-    """A mediated schema as JSON: one list of attribute refs per GA."""
+    """A mediated schema as JSON: one list of attribute refs per GA.
+
+    GAs are listed in the schema's own iteration order: the order F1
+    summed them, so a client recomputes F1 bit for bit, and the order
+    ``accept_ga`` indexes, so a payload index names the GA accepted.
+    """
     if schema is None:
         return None
     return [
@@ -207,12 +212,18 @@ class ServeApp:
         Service refusals (:class:`ServeError`) and domain errors
         (:class:`ReproError` — bad weights, unknown sources, …) map to
         their HTTP statuses with a structured error body; anything else
-        is a 500 and bumps ``serve.errors``.
+        is a 500 and bumps ``serve.errors``.  A body that is not a JSON
+        object is refused with 400 before any route sees it.
         """
         metrics = self.telemetry.metrics
         metrics.counter("serve.requests").inc()
         started = time.perf_counter()
         try:
+            if body is not None and not isinstance(body, Mapping):
+                raise ServeError(
+                    f"request body must be a JSON object, "
+                    f"got {type(body).__name__}"
+                )
             with self.telemetry.span(
                 "serve.request", method=method, path=path
             ):
@@ -413,7 +424,7 @@ class ServeApp:
             return self.universes[self.default_universe]
         try:
             return self.universes[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownUniverseError(
                 f"no resident universe {name!r}; "
                 f"loaded: {sorted(self.universes)}"
@@ -422,8 +433,13 @@ class ServeApp:
     def _create_session(self, body: Mapping) -> dict:
         universe = self._resident(body.get("universe"))
         overrides = {
-            k: body[k]
-            for k in ("max_sources", "theta", "beta", "optimizer")
+            k: _typed(body, k, kind)
+            for k, kind in (
+                ("max_sources", int),
+                ("theta", (int, float)),
+                ("beta", int),
+                ("optimizer", str),
+            )
             if body.get(k) is not None
         }
         managed = self.sessions.create(
@@ -481,23 +497,21 @@ class ServeApp:
                     f"each edit needs an 'op' field, got {edit!r}"
                 )
             op = edit["op"]
+            if not isinstance(op, str):
+                raise ServeError(f"edit op must be a string, got {op!r}")
             if op == "accept_ga":
-                # Address a GA out of the last solution's schema by
-                # position — the JSON-friendly spelling of accept_ga.
+                # Address a GA out of the last solution's schema by its
+                # position in the solve payload (see schema_payload).
                 solution = session.last_solution
                 if solution is None or solution.schema is None:
                     raise ServeError(
                         "accept_ga needs a prior solve with a schema"
                     )
-                session.accept_ga(solution.schema.gas[int(edit["ga"])])
+                gas = tuple(solution.schema.gas)
+                session.accept_ga(gas[_ga_index(edit, len(gas), "GAs")])
             elif op == "drop_ga":
                 constraints = session.problem().ga_constraints
-                index = int(edit["ga"])
-                if not 0 <= index < len(constraints):
-                    raise ServeError(
-                        f"drop_ga index {index} out of range "
-                        f"({len(constraints)} constraints)"
-                    )
+                index = _ga_index(edit, len(constraints), "constraints")
                 session.drop_ga_constraint(constraints[index])
             elif op in EDIT_OPS:
                 method, fields = EDIT_OPS[op]
@@ -507,9 +521,9 @@ class ServeApp:
                         f"edit op {op!r} missing fields {missing}"
                     )
                 args = [edit[f] for f in fields]
-                if op == "require_match":
-                    args = [[tuple(pair) for pair in args[0]]]
                 try:
+                    if op == "require_match":
+                        args = [[tuple(pair) for pair in args[0]]]
                     getattr(session, method)(*args)
                 except (KeyError, IndexError, TypeError, ValueError) as exc:
                     # Unknown source/attribute names and malformed
@@ -529,10 +543,10 @@ class ServeApp:
     def _solve_session(self, session_id: str, body: Mapping) -> dict:
         managed = self.sessions.get(session_id)
         iteration = managed.session.solve(
-            optimizer=body.get("optimizer"),
+            optimizer=_typed(body, "optimizer", str),
             warm_start=bool(body.get("warm_start", True)),
             explain=bool(body.get("explain", False)),
-            stop_quality=body.get("stop_quality"),
+            stop_quality=_typed(body, "stop_quality", (int, float)),
         )
         managed.solves += 1
         self.telemetry.metrics.counter("serve.solves").inc()
@@ -543,6 +557,26 @@ class ServeApp:
         return payload
 
 
+def _typed(body: Mapping, key: str, kind: type | tuple[type, ...]):
+    """``body[key]`` (None when absent), refused unless of type ``kind``."""
+    value = body.get(key)
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, kind)
+    ):
+        raise ServeError(f"field {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _ga_index(edit: Mapping, count: int, what: str) -> int:
+    """An accept_ga/drop_ga edit's ``ga`` index, checked against ``count``."""
+    index = _typed(edit, "ga", int)
+    if index is None or not 0 <= index < count:
+        raise ServeError(
+            f"{edit['op']} index {index!r} out of range ({count} {what})"
+        )
+    return index
+
+
 # -- the HTTP shim ------------------------------------------------------------
 
 
@@ -551,10 +585,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "mube-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; without TCP_NODELAY the
+    # body waits for the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
 
     def _handle(self, method: str) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: this connection is done.
+            self.close_connection = True
+            self._reply(400, ServeError("invalid Content-Length").payload())
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             body = json.loads(raw) if raw else None

@@ -110,12 +110,10 @@ class JobNotDoneError(ServeError):
 #: The service's optional capability tiers.  Each maps to the import that
 #: provides it; the service probes them once at startup and keeps the
 #: core solve endpoints working when any (or all) are absent — the
-#: graceful-degradation contract.  ``scipy`` is consumed indirectly (the
-#: similarity blocking layer already falls back to numpy), so the tier
-#: only *reports*; ``profiler`` gates phase/cache profiling of requests;
-#: ``observatory`` gates run-registry recording and the ``/runs`` view.
+#: graceful-degradation contract.  ``profiler`` gates phase/cache
+#: profiling of requests; ``observatory`` gates run-registry recording
+#: and the ``/runs`` view.
 OPTIONAL_TIERS: dict[str, str] = {
-    "scipy": "scipy.sparse",
     "profiler": "repro.telemetry.profiler",
     "observatory": "repro.telemetry.observatory",
 }
@@ -642,10 +640,13 @@ class JobManager:
 def optimizer_config_from(params: Mapping) -> OptimizerConfig:
     """An :class:`OptimizerConfig` from request-level knobs."""
     kwargs: dict = {}
-    if params.get("seed") is not None:
-        kwargs["seed"] = int(params["seed"])
-    if params.get("iterations") is not None:
-        kwargs["max_iterations"] = int(params["iterations"])
+    try:
+        if params.get("seed") is not None:
+            kwargs["seed"] = int(params["seed"])
+        if params.get("iterations") is not None:
+            kwargs["max_iterations"] = int(params["iterations"])
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"seed and iterations must be integers: {exc}")
     return OptimizerConfig(**kwargs)
 
 

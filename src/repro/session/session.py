@@ -38,6 +38,7 @@ from ..core import (
     normalize_weights,
 )
 from ..exceptions import ConstraintError, ReproError, WeightError
+from ..matching.operator import MatchOperator
 from ..quality.overall import Objective
 from ..search import OptimizerConfig, SearchResult, get_optimizer
 from ..similarity.cache import CachedSimilarity
@@ -112,10 +113,6 @@ class Session:
         Registry name of the optimizer to use (default ``"tabu"``).
     optimizer_config:
         Budgets and seed for the optimizer.
-    incremental:
-        Use the warm-started matching operator
-        (:class:`~repro.matching.IncrementalMatchOperator`) inside each
-        solve — faster on large universes, see DESIGN.md.
     telemetry:
         A :class:`~repro.telemetry.Telemetry` to install for the duration
         of every :meth:`solve` (and the similarity-matrix build).  When
@@ -174,7 +171,6 @@ class Session:
         similarity: SimilarityMeasure | None = None,
         optimizer: str = "tabu",
         optimizer_config: OptimizerConfig | None = None,
-        incremental: bool = False,
         telemetry: Telemetry | NoopTelemetry | None = None,
         record_runs: bool = True,
         run_registry=None,
@@ -198,7 +194,6 @@ class Session:
         self.ga_constraints: list[GlobalAttribute] = []
         self.optimizer_name = optimizer
         self.optimizer_config = optimizer_config or OptimizerConfig()
-        self.incremental = incremental
         self.telemetry = telemetry
         if run_registry is not None:
             self.run_registry = run_registry
@@ -807,7 +802,6 @@ class Session:
             workers,
             similarity=self._matrix,
             initial=initial,
-            incremental=self.incremental,
             eval_context=objective.context,
         )
 
@@ -998,8 +992,6 @@ class Session:
             return Objective(
                 problem,
                 similarity=self._matrix,
-                incremental=self.incremental,
-                match_operator=self._build_operator(problem),
                 context=shared,
             )
 
@@ -1008,7 +1000,9 @@ class Session:
         # required set before a universe retarget may remove it.
         operator = previous.match_operator
         if plan.operator == ("rebuild",):
-            operator = self._build_operator(problem)
+            operator = MatchOperator.for_problem(
+                problem, similarity=self._matrix
+            )
             metrics.counter("session.delta.operator_rebuilt").inc()
         elif plan.operator:
             for step in plan.operator:
@@ -1068,18 +1062,9 @@ class Session:
         return Objective(
             problem,
             similarity=self._matrix,
-            incremental=self.incremental,
             match_operator=operator,
             **kwargs,
         )
-
-    def _build_operator(self, problem: Problem):
-        from ..matching import IncrementalMatchOperator, MatchOperator
-
-        operator_cls = (
-            IncrementalMatchOperator if self.incremental else MatchOperator
-        )
-        return operator_cls.for_problem(problem, similarity=self._matrix)
 
     def _commit(self, problem: Problem, objective: Objective) -> Objective:
         """Adopt a solve's compiled state as the next delta baseline."""

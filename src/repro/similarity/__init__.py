@@ -1,6 +1,6 @@
 """Attribute-name similarity: n-grams, measures, caching, matrices."""
 
-from .blocking import LSHConfig, blocked_scores, build_gram_index
+from .blocking import blocked_scores, build_gram_index
 from .cache import CachedSimilarity
 from .instance import HybridSimilarity, InstanceSimilarity
 from .matrix import NameSimilarityMatrix
@@ -26,7 +26,6 @@ __all__ = [
     "ExactMatch",
     "HybridSimilarity",
     "InstanceSimilarity",
-    "LSHConfig",
     "LevenshteinSimilarity",
     "NGramCosine",
     "NGramDice",

@@ -20,18 +20,10 @@ This module exploits that:
    approximate: the blocked matrix is bit-identical to the dense build by
    construction (property-tested in tests/similarity/test_blocking.py).
 3. **Score vectorized.**  Intersection sizes for the whole candidate set
-   come out of one sparse matrix multiply (scipy when available, a pure
-   numpy postings merge otherwise), and the measure's
+   come out of one numpy postings merge, and the measure's
    :meth:`~repro.similarity.measures.SetSimilarityMeasure.score_counts`
    turns them into similarities in one vectorized expression instead of
    one Python ``frozenset`` op per pair.
-
-An optional MinHash-LSH mode (:class:`LSHConfig`) trades exactness for
-scale: candidate pairs are generated from banded MinHash signatures, so
-pairs below the implied similarity threshold may be *missed* (scored 0).
-It is off by default and never used by
-:meth:`~repro.similarity.matrix.NameSimilarityMatrix.build` unless the
-caller asks.
 
 The two special cases the zero-default rule does not cover are handled
 explicitly:
@@ -50,68 +42,13 @@ build actually was.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
-from ..exceptions import ReproError
 from ..telemetry import get_profiler, get_telemetry
 from .measures import SetSimilarityMeasure
-
-try:  # scipy is optional: the numpy postings path is always available.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised via MUBE_BLOCKING_BACKEND
-    _scipy_sparse = None
-
-#: Environment override for the intersection backend, mostly for tests:
-#: ``auto`` (default), ``scipy``, or ``numpy``.
-BACKEND_ENV = "MUBE_BLOCKING_BACKEND"
-
-
-def _backend() -> str:
-    choice = os.environ.get(BACKEND_ENV, "auto")
-    if choice not in ("auto", "scipy", "numpy"):
-        raise ReproError(
-            f"{BACKEND_ENV} must be auto, scipy or numpy, got {choice!r}"
-        )
-    if choice == "auto":
-        return "scipy" if _scipy_sparse is not None else "numpy"
-    if choice == "scipy" and _scipy_sparse is None:
-        raise ReproError("scipy backend requested but scipy is unavailable")
-    return choice
-
-
-@dataclass(frozen=True, slots=True)
-class LSHConfig:
-    """MinHash-LSH banding parameters for the approximate candidate mode.
-
-    ``num_perm`` MinHash permutations are split into ``bands`` bands of
-    ``num_perm // bands`` rows; two names become candidates when any band
-    of their signatures collides.  The implied similarity threshold is
-    roughly ``(1/bands)^(bands/num_perm)`` — more bands catch lower
-    similarities at the cost of more candidates.
-    """
-
-    num_perm: int = 64
-    bands: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_perm < 1:
-            raise ReproError(f"num_perm must be >= 1, got {self.num_perm}")
-        if not 1 <= self.bands <= self.num_perm:
-            raise ReproError(
-                f"bands must be in [1, num_perm={self.num_perm}], "
-                f"got {self.bands}"
-            )
-        if self.num_perm % self.bands:
-            raise ReproError(
-                f"bands ({self.bands}) must divide num_perm "
-                f"({self.num_perm})"
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class BlockedScores:
@@ -149,7 +86,7 @@ class GramIndex:
     function of the vocabulary sequence.
     """
 
-    __slots__ = ("sets", "sizes", "vocabulary_size", "empty_rows")
+    __slots__ = ("sets", "sizes", "empty_rows")
 
     def __init__(self, gram_sets: Sequence[frozenset[str]]):
         gram_ids: dict[str, int] = {}
@@ -166,7 +103,6 @@ class GramIndex:
             sets.append(ids)
         self.sets = sets
         self.sizes = np.array([len(ids) for ids in sets], dtype=np.int64)
-        self.vocabulary_size = len(gram_ids)
         self.empty_rows = np.nonzero(self.sizes == 0)[0]
 
     def __len__(self) -> int:
@@ -183,70 +119,22 @@ def build_gram_index(
 # -- candidate generation + intersection sizes --------------------------------
 
 
-def _incidence_arrays(index: GramIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(name row, gram id) pairs of the incidence matrix, row-major."""
-    if not index.sets:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(
-        np.arange(len(index.sets), dtype=np.int64), index.sizes
-    )
-    cols = (
-        np.concatenate(index.sets)
-        if any(len(s) for s in index.sets)
-        else np.empty(0, dtype=np.int64)
-    )
-    return rows, cols
-
-
-def _intersections_scipy(
+def exact_candidates(
     index: GramIndex, row_limit: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate pairs + intersection sizes via a sparse incidence product.
+    """``(rows, cols, intersection sizes)`` of all gram-sharing pairs.
 
-    With ``row_limit`` only pairs whose *column* index is ``>= row_limit``
-    are returned (the extension case: at least one side is a fresh name).
+    ``rows < cols`` elementwise; with ``row_limit`` only pairs touching a
+    name at or past that row are produced (the ``extended`` case).  A
+    pair sharing ``k`` grams appears in ``k`` per-gram postings, so the
+    deduplicated pair multiset, with counts, is the exact answer.
     """
-    rows, cols = _incidence_arrays(index)
     n = len(index)
-    incidence = _scipy_sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(n, max(index.vocabulary_size, 1)),
-    )
-    if row_limit is None:
-        product = _scipy_sparse.triu(incidence @ incidence.T, k=1).tocoo()
-        return (
-            product.row.astype(np.int64),
-            product.col.astype(np.int64),
-            product.data.astype(np.int64),
-        )
-    fresh = incidence[row_limit:]
-    product = (fresh @ incidence.T).tocoo()
-    pair_rows = product.row.astype(np.int64) + row_limit
-    pair_cols = product.col.astype(np.int64)
-    keep = pair_cols < pair_rows
-    return (
-        pair_cols[keep],
-        pair_rows[keep],
-        product.data.astype(np.int64)[keep],
-    )
-
-
-def _intersections_numpy(
-    index: GramIndex, row_limit: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pure-numpy fallback: per-gram postings → pair multiset → counts.
-
-    A pair sharing ``k`` grams appears once in ``k`` postings, so the
-    multiset of per-gram pairs, deduplicated with counts, *is* the
-    candidate set with exact intersection sizes — the sorted-array merge
-    of the docstring, amortized across the whole build.
-    """
-    rows, cols = _incidence_arrays(index)
-    n = len(index)
-    if not len(rows):
+    if not index.sizes.sum():
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
+    rows = np.repeat(np.arange(n, dtype=np.int64), index.sizes)
+    cols = np.concatenate(index.sets)
     order = np.argsort(cols, kind="stable")
     sorted_cols = cols[order]
     sorted_rows = rows[order]
@@ -277,99 +165,6 @@ def _intersections_numpy(
     )
 
 
-def exact_candidates(
-    index: GramIndex, row_limit: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, intersection sizes)`` of all gram-sharing pairs.
-
-    ``rows < cols`` elementwise; with ``row_limit`` only pairs touching a
-    name at or past that row are produced (the ``extended`` case).
-    """
-    if _backend() == "scipy":
-        return _intersections_scipy(index, row_limit)
-    return _intersections_numpy(index, row_limit)
-
-
-# -- MinHash-LSH (approximate candidates) -------------------------------------
-
-_MERSENNE = np.uint64((1 << 61) - 1)
-
-
-def minhash_signatures(index: GramIndex, config: LSHConfig) -> np.ndarray:
-    """``(n_names, num_perm)`` MinHash signatures over gram ids.
-
-    Universal hashing ``(a*x + b) mod p`` with a Mersenne prime modulus,
-    vectorized per name; empty token sets get an all-max signature so
-    they never collide with real names (their pairs are handled by the
-    empty-row rule instead).
-    """
-    rng = np.random.default_rng(config.seed)
-    a = rng.integers(1, _MERSENNE, size=config.num_perm, dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE, size=config.num_perm, dtype=np.uint64)
-    signatures = np.full(
-        (len(index), config.num_perm), np.iinfo(np.uint64).max,
-        dtype=np.uint64,
-    )
-    for row, gram_set in enumerate(index.sets):
-        if not len(gram_set):
-            continue
-        hashed = (
-            a[None, :] * gram_set.astype(np.uint64)[:, None] + b[None, :]
-        ) % _MERSENNE
-        signatures[row] = hashed.min(axis=0)
-    return signatures
-
-
-def lsh_candidates(
-    index: GramIndex, config: LSHConfig, row_limit: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Approximate candidate pairs via banded MinHash signatures.
-
-    Returns the same triple shape as :func:`exact_candidates`, with
-    intersection sizes computed exactly (sorted-array merge) for the
-    surviving candidates only — so every *returned* score is exact, and
-    the approximation is purely in which pairs are considered at all.
-    """
-    signatures = minhash_signatures(index, config)
-    rows_per_band = config.num_perm // config.bands
-    buckets: dict[tuple, list[int]] = {}
-    for band in range(config.bands):
-        chunk = signatures[:, band * rows_per_band:(band + 1) * rows_per_band]
-        for row in range(len(index)):
-            if not len(index.sets[row]):
-                continue
-            buckets.setdefault(
-                (band, chunk[row].tobytes()), []
-            ).append(row)
-    pairs: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for i_pos in range(len(members)):
-            for j_pos in range(i_pos + 1, len(members)):
-                i, j = members[i_pos], members[j_pos]
-                if i > j:
-                    i, j = j, i
-                if row_limit is not None and j < row_limit:
-                    continue
-                pairs.add((i, j))
-    if not pairs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    ordered = sorted(pairs)
-    rows = np.array([p[0] for p in ordered], dtype=np.int64)
-    cols = np.array([p[1] for p in ordered], dtype=np.int64)
-    inter = np.array(
-        [
-            len(np.intersect1d(index.sets[i], index.sets[j]))
-            for i, j in ordered
-        ],
-        dtype=np.int64,
-    )
-    keep = inter > 0
-    return rows[keep], cols[keep], inter[keep]
-
-
 # -- scoring ------------------------------------------------------------------
 
 
@@ -392,7 +187,6 @@ def _empty_pairs(
 def blocked_scores(
     names: Sequence[str],
     measure: SetSimilarityMeasure,
-    lsh: LSHConfig | None = None,
     row_limit: int | None = None,
 ) -> BlockedScores:
     """Every nonzero off-diagonal similarity of a vocabulary, blocked.
@@ -401,20 +195,14 @@ def blocked_scores(
     :meth:`~repro.similarity.matrix.NameSimilarityMatrix.build` and
     :meth:`~repro.similarity.matrix.NameSimilarityMatrix.extended`
     paths.  With ``row_limit`` only pairs touching a name at or past that
-    row are scored (the rest are already known to the caller).  With an
-    :class:`LSHConfig`, candidates come from MinHash banding instead of
-    the exact inverted index — faster at extreme scale, but pairs the
-    banding misses are silently zero.
+    row are scored (the rest are already known to the caller).
     """
     profiler = get_profiler()
     telemetry = get_telemetry()
     with profiler.phase("similarity.index"):
         index = build_gram_index(names, measure)
     with profiler.phase("similarity.candidates"):
-        if lsh is None:
-            rows, cols, inter = exact_candidates(index, row_limit)
-        else:
-            rows, cols, inter = lsh_candidates(index, lsh, row_limit)
+        rows, cols, inter = exact_candidates(index, row_limit)
     with profiler.phase("similarity.score"):
         values = np.asarray(
             measure.score_counts(
@@ -456,13 +244,9 @@ def blocked_scores(
 
 
 __all__ = [
-    "BACKEND_ENV",
     "BlockedScores",
     "GramIndex",
-    "LSHConfig",
     "blocked_scores",
     "build_gram_index",
     "exact_candidates",
-    "lsh_candidates",
-    "minhash_signatures",
 ]

@@ -21,15 +21,24 @@ class CachedSimilarity:
     hot lookup path stays a dict probe plus an increment.
     """
 
-    __slots__ = ("measure", "name", "_cache", "hits", "misses")
+    __slots__ = (
+        "measure", "name", "_cache", "hits", "misses",
+        "_retire_cache_probe", "__weakref__",
+    )
 
     def __init__(self, measure: SimilarityMeasure):
+        self._retire_cache_probe = get_profiler().add_cache_probe(
+            "similarity.memo", self.stats
+        )
         self.measure = measure
         self.name = measure.name
         self._cache: dict[tuple[str, str], float] = {}
         self.hits = 0
         self.misses = 0
-        get_profiler().add_cache_probe("similarity.memo", self.stats)
+
+    def __del__(self) -> None:
+        # The profiler holds stats weakly: hand it the final totals.
+        self._retire_cache_probe(self.stats)
 
     def __call__(self, a: str, b: str) -> float:
         key = (a, b) if a <= b else (b, a)

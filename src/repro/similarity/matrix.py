@@ -37,7 +37,7 @@ import numpy as np
 
 from ..exceptions import ReproError
 from ..telemetry import get_profiler, get_telemetry
-from .blocking import LSHConfig, blocked_scores
+from .blocking import blocked_scores
 from .measures import SetSimilarityMeasure, SimilarityMeasure
 
 #: Below this vocabulary size the dense array always wins (a few hundred
@@ -237,7 +237,6 @@ class NameSimilarityMatrix:
         cls,
         names: Iterable[str],
         measure: SimilarityMeasure,
-        lsh: LSHConfig | None = None,
         blocked: bool | None = None,
         storage: str = "auto",
     ) -> "NameSimilarityMatrix":
@@ -247,11 +246,8 @@ class NameSimilarityMatrix:
         the upper triangle is computed.  Set-based measures route through
         the blocked sub-quadratic path by default (``blocked=None``
         auto-detects; ``False`` forces the dense all-pairs loop, which is
-        bit-identical but quadratic).  ``lsh`` switches the blocked path
-        to approximate MinHash-LSH candidates — off by default because it
-        can miss low-similarity pairs (see
-        :class:`~repro.similarity.blocking.LSHConfig`).  ``storage``
-        picks the backing store (``auto``/``dense``/``sparse``).
+        bit-identical but quadratic).  ``storage`` picks the backing
+        store (``auto``/``dense``/``sparse``).
         """
         telemetry = get_telemetry()
         vocabulary = tuple(dict.fromkeys(names))
@@ -266,14 +262,12 @@ class NameSimilarityMatrix:
             )
         else:
             use_blocked = blocked
-        if lsh is not None and not use_blocked:
-            raise ReproError("lsh candidates require the blocked build path")
         with get_profiler().phase("similarity"), telemetry.span(
             "similarity.matrix_build", vocabulary=size,
             measure=measure.name, blocked=use_blocked,
         ):
             if use_blocked:
-                scores = blocked_scores(vocabulary, set_measure, lsh=lsh)
+                scores = blocked_scores(vocabulary, set_measure)
                 result = cls._assemble(
                     vocabulary,
                     scores.rows,
@@ -321,7 +315,6 @@ class NameSimilarityMatrix:
         self,
         names: Iterable[str],
         measure: SimilarityMeasure,
-        lsh: LSHConfig | None = None,
         storage: str = "auto",
     ) -> "NameSimilarityMatrix":
         """A matrix over this vocabulary plus ``names``, reusing this block.
@@ -355,7 +348,7 @@ class NameSimilarityMatrix:
         ):
             if set_measure is not None:
                 scores = blocked_scores(
-                    vocabulary, set_measure, lsh=lsh, row_limit=old
+                    vocabulary, set_measure, row_limit=old
                 )
                 old_rows, old_cols, old_values = self._upper_entries()
                 result = type(self)._assemble(

@@ -43,9 +43,12 @@ too, merge across workers.
 
 from __future__ import annotations
 
+import functools
 import io
+import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable
 
@@ -144,7 +147,11 @@ class PhaseProfiler:
         self.cache_sample_interval = cache_sample_interval
         self.max_cache_samples = max(2, max_cache_samples)
         self._epoch = time.perf_counter()
-        self._probes: dict[str, Callable[[], dict]] = {}
+        self._probes: dict[str, Callable[[], Callable[[], dict] | None]] = {}
+        self._probe_serials: dict[str, int] = {}
+        self._retiring: list[tuple[str, dict]] = []
+        self._retired: dict[str, dict[str, int]] = {}
+        self._probe_lock = threading.Lock()
         self._cache_series: list[dict[str, Any]] = []
         self._last_sample = -float("inf")
         self._peak_stack: list[int] = []
@@ -173,18 +180,16 @@ class PhaseProfiler:
             return
         self._closed = True
         self.sample_caches(force=True)
+        live = self._read_probes()
         metrics = get_telemetry().metrics
-        for name, probe in self._probes.items():
-            base = name.split("#", 1)[0]
-            try:
-                stats = probe()
-            except Exception:  # noqa: BLE001 - a dead probe can't fail a run
-                continue
-            for field in ("hits", "misses", "evictions"):
-                if field in stats:
+        with self._probe_lock:
+            for name, stats in live.items():
+                _fold_totals(self._retired, name, stats)
+            for base, fields in self._retired.items():
+                for field, value in fields.items():
                     metrics.counter(
                         f"{CACHE_METRIC_PREFIX}{base}.{field}"
-                    ).inc(int(stats[field]))
+                    ).inc(value)
         if self._started_tracing and tracemalloc.is_tracing():
             tracemalloc.stop()
             self._started_tracing = False
@@ -229,19 +234,59 @@ class PhaseProfiler:
 
     def add_cache_probe(
         self, name: str, probe: Callable[[], dict]
-    ) -> None:
+    ) -> Callable[[Callable[[], dict]], None]:
         """Register a stats callable (→ dict with ``hits``/``misses``).
 
         Registering the same name again (one objective per portfolio
         worker, say) gets a ``#2``-style suffix, so every instance keeps
         its own series; :meth:`close` folds suffixed probes back into
         one counter family.
+
+        A bound method is held weakly, so a long-lived profiler (the
+        service's) never keeps a closed session's memos alive; its owner
+        passes the probe to the returned hook from ``__del__``, and
+        :meth:`close` counts those final stats as if it were alive.
         """
-        key, serial = name, 2
-        while key in self._probes:
-            key = f"{name}#{serial}"
-            serial += 1
-        self._probes[key] = probe
+        try:
+            ref = weakref.WeakMethod(probe)
+        except TypeError:  # a plain function, or an owner without weakrefs
+            ref = lambda: probe  # noqa: E731
+        with self._probe_lock:
+            serial = self._probe_serials.get(name, 0) + 1
+            self._probe_serials[name] = serial
+            key = name if serial == 1 else f"{name}#{serial}"
+            self._probes[key] = ref
+        return functools.partial(self._retire_probe, key)
+
+    def _retire_probe(self, key: str, probe: Callable[[], dict]) -> None:
+        # Runs inside a finalizer, possibly while this thread holds the
+        # probe lock, so it only appends; _read_probes folds the record.
+        if self._closed:
+            return
+        try:
+            self._retiring.append((key, dict(probe())))
+        except Exception:  # noqa: BLE001 - a finalizer must never raise
+            pass
+
+    def _read_probes(self) -> dict[str, dict]:
+        """Current stats of every live probe; folds retired ones."""
+        with self._probe_lock:
+            probes = list(self._probes.items())
+        caches: dict[str, dict] = {}
+        for name, ref in probes:
+            probe = ref()
+            if probe is None:  # collected; its retire record is folded below
+                continue
+            try:
+                caches[name] = dict(probe())
+            except Exception:  # noqa: BLE001 - observation must never raise
+                continue
+        with self._probe_lock:
+            while self._retiring:
+                name, stats = self._retiring.pop()
+                self._probes.pop(name, None)
+                _fold_totals(self._retired, name, stats)
+        return caches
 
     def sample_caches(self, force: bool = False) -> None:
         """Sample every probe into the hit-ratio series (throttled)."""
@@ -251,12 +296,7 @@ class PhaseProfiler:
         if not force and now - self._last_sample < self.cache_sample_interval:
             return
         self._last_sample = now
-        caches: dict[str, dict] = {}
-        for name, probe in self._probes.items():
-            try:
-                caches[name] = dict(probe())
-            except Exception:  # noqa: BLE001 - observation must never raise
-                continue
+        caches = self._read_probes()
         self._cache_series.append(
             {"t": now - self._epoch, "caches": caches}
         )
@@ -267,11 +307,7 @@ class PhaseProfiler:
     def cache_analytics(self) -> dict[str, dict[str, Any]]:
         """Per-probe final stats plus the hit-ratio-over-time series."""
         analytics: dict[str, dict[str, Any]] = {}
-        for name, probe in self._probes.items():
-            try:
-                final = dict(probe())
-            except Exception:  # noqa: BLE001
-                continue
+        for name, final in self._read_probes().items():
             series = [
                 {
                     "t": round(sample["t"], 6),
@@ -291,6 +327,20 @@ class PhaseProfiler:
         )
 
 
+def _fold_totals(
+    totals: dict[str, dict[str, int]], name: str, stats: dict
+) -> None:
+    """Add one probe's hit/miss/eviction counts to its family's totals."""
+    fields = totals.setdefault(name.split("#", 1)[0], {})
+    for field in ("hits", "misses", "evictions"):
+        if field in stats:
+            fields[field] = fields.get(field, 0) + int(stats[field])
+
+
+def _ignore_probe(probe) -> None:
+    """The no-op profiler's retire hook (module-level, so owners pickle)."""
+
+
 class NoopPhaseProfiler:
     """The default profiler: every operation is a constant-time no-op."""
 
@@ -308,8 +358,8 @@ class NoopPhaseProfiler:
     def phase(self, name: str) -> _NoopPhaseSpan:
         return _NOOP_PHASE
 
-    def add_cache_probe(self, name: str, probe) -> None:
-        pass
+    def add_cache_probe(self, name: str, probe) -> Callable:
+        return _ignore_probe
 
     def sample_caches(self, force: bool = False) -> None:
         pass

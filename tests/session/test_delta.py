@@ -472,13 +472,3 @@ class TestInvalidationMatrix:
             session.solve()
         stats = counters(telemetry)
         assert stats.get("session.delta.cold_solves") == 2
-
-    def test_incremental_operator_survives_retarget(self, universe):
-        # The delta pipeline composes with the warm-started operator.
-        session, before, after, stats = self.run_edit(
-            universe, lambda s: s.require_source(0), incremental=True
-        )
-        _, operator_b, _ = before
-        _, operator_a, _ = after
-        assert operator_a is operator_b
-        assert stats.get("session.delta.operator_retargeted") == 1

@@ -45,19 +45,6 @@ class TestSolving:
         iteration = session.solve(optimizer="greedy")
         assert iteration.solution.feasible
 
-    def test_incremental_session_matches_plain(self, theater):
-        plain = Session(
-            theater, max_sources=5, theta=0.5, optimizer_config=FAST
-        )
-        fast = Session(
-            theater, max_sources=5, theta=0.5, optimizer_config=FAST,
-            incremental=True,
-        )
-        a = plain.solve().solution
-        b = fast.solve().solution
-        assert a.selected == b.selected
-        assert a.schema == b.schema
-
 
 class TestSourceFeedback:
     def test_require_source_by_name(self, session):

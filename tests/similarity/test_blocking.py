@@ -5,7 +5,7 @@ exactly 0.0 for every set-based measure, and both-empty token sets score
 1.0 — so the blocked similarity matrix must equal the dense all-pairs
 matrix bit for bit, not approximately, over arbitrary vocabularies:
 short names (below the gram width), names that normalize to nothing,
-near-duplicates, and both candidate backends.  ``extended()`` over a
+and near-duplicates.  ``extended()`` over a
 blocked matrix must likewise equal a cold blocked build on the union
 vocabulary.  Hypothesis drives the vocabularies; every comparison is
 ``assert_array_equal``, never ``allclose``.
@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.similarity import (
-    LSHConfig,
     NameSimilarityMatrix,
     NGramCosine,
     NGramDice,
@@ -28,12 +27,7 @@ from repro.similarity import (
     TokenJaccard,
     blocked_scores,
 )
-from repro.similarity.blocking import (
-    BACKEND_ENV,
-    build_gram_index,
-    exact_candidates,
-    lsh_candidates,
-)
+from repro.similarity.blocking import build_gram_index, exact_candidates
 from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
 
 MEASURES = [
@@ -97,24 +91,6 @@ class TestBlockedEqualsDense:
         np.testing.assert_array_equal(extended.matrix, cold.matrix)
         assert extended.names == cold.names
 
-    @given(names=VOCABULARY)
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_backends_agree(self, names):
-        measure = NGramJaccard(3)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(BACKEND_ENV, "numpy")
-            via_numpy = NameSimilarityMatrix.build(names, measure)
-            patch.setenv(BACKEND_ENV, "scipy")
-            try:
-                via_scipy = NameSimilarityMatrix.build(names, measure)
-            except Exception:
-                pytest.skip("scipy unavailable")
-        np.testing.assert_array_equal(via_numpy.matrix, via_scipy.matrix)
-
     def test_forced_sparse_storage_is_still_bit_identical(self):
         names = [f"attr_{i}_{'xyz'[i % 3]}" for i in range(60)] + ["", "a"]
         measure = NGramJaccard(3)
@@ -147,42 +123,6 @@ class TestCandidates:
         assert len(rows) > 0
         assert (cols >= 3).all()
         assert (rows < cols).all()
-
-
-class TestLSH:
-    def test_lsh_candidates_are_a_subset_with_exact_scores(self):
-        measure = NGramJaccard(3)
-        names = [f"attribute_name_{i}" for i in range(40)] + ["zz", "qq"]
-        index = build_gram_index(names, measure)
-        exact_rows, exact_cols, exact_inter = exact_candidates(index)
-        exact_pairs = {
-            (i, j): k
-            for i, j, k in zip(
-                exact_rows.tolist(), exact_cols.tolist(), exact_inter.tolist()
-            )
-        }
-        rows, cols, inter = lsh_candidates(index, LSHConfig(seed=7))
-        assert len(rows) > 0
-        for i, j, k in zip(rows.tolist(), cols.tolist(), inter.tolist()):
-            assert exact_pairs[(i, j)] == k
-
-    def test_lsh_build_never_scores_above_exact(self):
-        measure = NGramJaccard(3)
-        names = [f"attr_{i}" for i in range(25)]
-        lsh = NameSimilarityMatrix.build(names, measure, lsh=LSHConfig())
-        exact = NameSimilarityMatrix.build(names, measure)
-        # LSH may miss pairs (score 0 where exact is positive) but every
-        # pair it does score must carry the exact value.
-        mask = lsh.matrix != 0.0
-        np.testing.assert_array_equal(lsh.matrix[mask], exact.matrix[mask])
-
-    def test_bad_config_rejected(self):
-        from repro.exceptions import ReproError
-
-        with pytest.raises(ReproError):
-            LSHConfig(num_perm=64, bands=7)
-        with pytest.raises(ReproError):
-            LSHConfig(num_perm=0)
 
 
 class TestTelemetry:
